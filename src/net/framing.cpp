@@ -29,6 +29,10 @@ bool write_hello(TcpConn& conn, const Hello& hello) {
 std::optional<Hello> read_hello(TcpConn& conn) {
   u8 bytes[kHelloBytes];
   if (!conn.read_all(bytes, sizeof(bytes))) return std::nullopt;
+  return decode_hello(bytes);
+}
+
+std::optional<Hello> decode_hello(const u8* bytes) {
   if (codec::read_u32(bytes) != kMagic) return std::nullopt;
   const u32 kind = codec::read_u32(bytes + 4);
   if (kind != static_cast<u32>(ConnKind::kPersistent) &&
@@ -73,32 +77,6 @@ bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
       }
     }
     if (!conn.writev_all(iov.data(), iovcnt, syscalls)) return false;
-    done += take;
-  }
-  return true;
-}
-
-bool write_batch_zerocopy(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
-                          std::vector<codec::HeaderBytes>& headers,
-                          u64* syscalls, u64* zc_calls) {
-  headers.resize(n);
-  std::array<iovec, 2 * kMaxWireBatch> iov;
-  for (std::size_t done = 0; done < n;) {
-    const std::size_t take = std::min(n - done, kMaxWireBatch);
-    int iovcnt = 0;
-    for (std::size_t i = 0; i < take; ++i) {
-      const Msg& m = *msgs[done + i];
-      headers[done + i] = codec::encode_header(m);
-      iov[iovcnt++] = {headers[done + i].data(), headers[done + i].size()};
-      if (m.payload_size() > 0) {
-        iov[iovcnt++] = {const_cast<u8*>(m.payload()->data()),
-                         m.payload_size()};
-      }
-    }
-    if (!conn.writev_all(iov.data(), iovcnt, syscalls, /*zerocopy=*/true,
-                         zc_calls)) {
-      return false;
-    }
     done += take;
   }
   return true;

@@ -58,6 +58,10 @@ bool write_hello(TcpConn& conn, const Hello& hello);
 /// Reads and validates the hello; nullopt on bad magic or socket error.
 std::optional<Hello> read_hello(TcpConn& conn);
 
+/// Validates kHelloBytes already received; nullopt on bad magic, kind or
+/// port (the engine's non-blocking accept path buffers the bytes itself).
+std::optional<Hello> decode_hello(const u8* bytes);
+
 /// Writes one framed message (header + payload). The two parts go out in
 /// a single scatter-gather syscall, so a header is never its own TCP
 /// segment even with Nagle disabled. False on socket error.
@@ -75,24 +79,10 @@ constexpr std::size_t kMaxWireBatch = 32;
 bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
                  u64* syscalls = nullptr);
 
-/// MSG_ZEROCOPY variant of write_batch (byte-identical on the wire).
-/// The kernel reads the referenced pages at *transmit* time, not at
-/// sendmsg time, so everything the iovecs point at must stay alive
-/// until the completions are reaped: the payloads (keep the MsgPtrs)
-/// and the encoded headers — which is why `headers` is caller-owned
-/// storage, resized and filled here, to be retained alongside the
-/// MsgPtrs in the in-flight record. `zc_calls` accumulates the number
-/// of completion ids the kernel assigned (one per flagged sendmsg; see
-/// TcpConn::reap_zerocopy). ENOBUFS falls back to plain sends
-/// mid-write, so some calls may consume fewer ids than syscalls.
-bool write_batch_zerocopy(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
-                          std::vector<codec::HeaderBytes>& headers,
-                          u64* syscalls = nullptr, u64* zc_calls = nullptr);
-
 /// Reads one framed message with exact-size reads (two recv syscalls and
 /// one payload allocation per message). nullptr on EOF, socket error, or
-/// a corrupt header. This is the legacy/control-plane path; the data
-/// plane uses FrameReader below.
+/// a corrupt header. A blocking control-plane helper (observer, proxy,
+/// tools); links and the engine's control connections use FrameReader.
 MsgPtr read_msg(TcpConn& conn);
 
 /// Bulk frame decoder: recv()s into a reusable chunk buffer, decodes as
@@ -109,7 +99,7 @@ MsgPtr read_msg(TcpConn& conn);
 /// slab from the SlabPool when one was supplied (zero copy, zero
 /// per-message payload allocation; the slab returns to the pool when
 /// the last Buffer slice referencing it is released), or a dedicated
-/// vector otherwise (the legacy fallback). After a large frame the
+/// vector otherwise (the pool-less fallback). After a large frame the
 /// reader expects another one and reads the next header *exactly*
 /// (never slurping payload bytes into the chunk), so a steady stream of
 /// large frames is decoded without ever copying a payload byte; the

@@ -208,29 +208,16 @@ int Reactor::auto_threads() {
   return std::max(1, std::min(4, static_cast<int>(hw)));
 }
 
-Reactor& Reactor::shared(int threads_hint) {
-  // First caller fixes the pool size; the pool lives until after main
-  // (function-local static), so links can always reach their worker.
-  static Reactor* instance = nullptr;
-  static std::once_flag once;
-  static int fixed = 0;
-  std::call_once(once, [&] {
-    fixed = threads_hint < 0 ? auto_threads() : std::max(threads_hint, 1);
-    static Reactor pool(fixed);
-    instance = &pool;
-    IOV_LOG_INFO("reactor") << "shared epoll pool started: " << fixed
-                            << " worker thread(s)";
+Reactor& Reactor::shared() {
+  // Created on first use; the pool lives until after main (function-local
+  // static), so links can always reach their worker.
+  static Reactor pool(auto_threads());
+  static std::once_flag logged;
+  std::call_once(logged, [] {
+    IOV_LOG_INFO("reactor") << "shared epoll pool started: "
+                            << pool.threads() << " worker thread(s)";
   });
-  const int want = threads_hint < 0 ? auto_threads() : std::max(threads_hint, 1);
-  if (want != fixed) {
-    static std::once_flag warn_once;
-    std::call_once(warn_once, [&] {
-      IOV_LOG_WARN("reactor")
-          << "reactor_threads=" << want << " requested but shared pool "
-          << "already sized at " << fixed << "; keeping existing pool";
-    });
-  }
-  return *instance;
+  return pool;
 }
 
 }  // namespace iov::reactor

@@ -4,10 +4,9 @@
 // The paper's engine spends two OS threads per persistent connection
 // (receiver + sender), so hosting N virtual nodes costs O(N·peers)
 // threads — fine at the paper's 2–12 nodes, a wall at production scale.
-// The reactor replaces those thread bodies with per-link state machines
-// multiplexed over a handful of epoll loops, so total OS threads are
-// `reactor workers + one engine thread per node`, independent of the
-// node×peer count.
+// Here those thread bodies are per-link state machines multiplexed over a
+// handful of epoll loops, so total OS threads are `reactor workers + one
+// engine thread per node`, independent of the node×peer count.
 //
 // Threading model:
 //   * Each Worker owns one epoll instance, one wake eventfd, a FIFO task
@@ -132,8 +131,7 @@ class Worker {
 };
 
 /// The fixed worker pool. One process-shared instance drives every
-/// reactor-mode engine (Reactor::shared()); tests may instantiate their
-/// own.
+/// engine's links (Reactor::shared()); tests may instantiate their own.
 class Reactor {
  public:
   /// Starts `threads` workers (clamped to ≥ 1).
@@ -148,14 +146,13 @@ class Reactor {
 
   int threads() const { return static_cast<int>(workers_.size()); }
 
-  /// The worker count used when the caller asks for "auto" (< 0):
-  /// min(4, hardware_concurrency), at least 1.
+  /// The shared pool's worker count: min(4, hardware_concurrency), at
+  /// least 1.
   static int auto_threads();
 
-  /// The process-wide shared pool, created on first use. The first call
-  /// fixes the pool size: `threads_hint` < 0 means auto_threads(); later
-  /// calls with a different hint keep the existing pool (logged once).
-  static Reactor& shared(int threads_hint);
+  /// The process-wide shared pool of auto_threads() workers, created on
+  /// first use.
+  static Reactor& shared();
 
  private:
   std::vector<std::unique_ptr<Worker>> workers_;
